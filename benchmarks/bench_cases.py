@@ -140,17 +140,21 @@ def _case_cache_replay():
 def _case_availability():
     from repro.core.config import MonteCarloConfig
     from repro.failures.availability import estimate_availability_parallel
+    from repro.obs.metrics import metrics_scope
 
     wan = _standard_wan()
     if "avail_paths" not in _MEMO:
         _MEMO["avail_paths"] = wan.paths(num_primary=2, num_backup=1)
     config = MonteCarloConfig(samples=100, seed=0, num_workers=1,
                               chunk_size=32)
-    estimate = estimate_availability_parallel(
-        wan.topology, dict(wan.avg_demands), _MEMO["avail_paths"], config)
+    with metrics_scope() as registry:
+        estimate = estimate_availability_parallel(
+            wan.topology, dict(wan.avg_demands), _MEMO["avail_paths"],
+            config)
     return {
         "distinct_scenarios": estimate.distinct_scenarios,
         "fresh_solves": estimate.fresh_solves,
+        "lp_iterations": registry.counter("solver.lp_iterations").value,
     }
 
 

@@ -314,7 +314,8 @@ def _print_solver_stats(stats: dict | None) -> None:
           f"{stats.get('max_abs_coefficient', 0.0):.3g}, "
           f"max |rhs| {stats.get('max_abs_rhs', 0.0):.3g}")
     print(f"  backend: {stats.get('backend', '?')} "
-          f"(duals: {stats.get('dual_mode', '?')}, "
+          f"(iterations: {stats.get('iterations', 0)}, "
+          f"duals: {stats.get('dual_mode', '?')}, "
           f"incremental: {stats.get('incremental', False)}, "
           f"compile cached: {stats.get('compile_cached', False)})")
 

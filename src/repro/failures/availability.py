@@ -484,7 +484,9 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
         sample_rows: list[bytes] = []      # per sample, in draw order
         scenario_by_row: dict[bytes, FailureScenario] = {}
         doc_by_row: dict[bytes, list] = {}
-        delivered_by_row: dict[bytes, float] = {}
+        # One degradation float per distinct scenario, shared by every
+        # sample that drew it (the per-sample list holds references).
+        degradation_by_row: dict[bytes, float] = {}
         cache_hits = 0
         fresh_rows: list[bytes] = []
         chunks_dispatched = 0
@@ -514,7 +516,8 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
                     hit = cache.get(
                         scenario_cache_key(instance_key, doc_by_row[key]))
                     if hit is not None:
-                        delivered_by_row[key] = float(hit["delivered"])
+                        degradation_by_row[key] = (
+                            healthy_flow - float(hit["delivered"]))
                         cache_hits += 1
                         continue
                 misses.append(key)
@@ -535,7 +538,7 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
                 chunks_dispatched += len(chunks)
                 for chunk, values in zip(chunks, per_chunk):
                     for key, value in zip(chunk, values):
-                        delivered_by_row[key] = value
+                        degradation_by_row[key] = healthy_flow - value
                         fresh_rows.append(key)
                         if cache is not None:
                             cache.put(
@@ -544,10 +547,7 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
                                 {"delivered": value},
                             )
 
-            degradations = [
-                healthy_flow - delivered_by_row[key]
-                for key in sample_rows
-            ]
+            degradations = [degradation_by_row[key] for key in sample_rows]
             width = _ci_width(degradations, healthy_flow, z)
             if not adaptive:
                 break
@@ -584,7 +584,7 @@ def _estimate(topology, demands, paths, config, cache, runner_config,
         worst_scenario=scenario_by_row[sample_rows[worst_index]],
         samples=len(sample_rows),
         healthy_flow=healthy_flow,
-        degradations=[float(d) for d in degradations],
+        degradations=degradations,
         distinct_scenarios=len(scenario_by_row),
         cache_hits=cache_hits,
         fresh_solves=len(fresh_rows),

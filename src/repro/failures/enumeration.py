@@ -15,12 +15,9 @@ import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
+from repro.failures.montecarlo import ScenarioResolver
 from repro.failures.probability import scenario_log_probability
-from repro.failures.scenario import (
-    FailureScenario,
-    connected_enforced_holds,
-    simulate_failed_network,
-)
+from repro.failures.scenario import FailureScenario, connected_enforced_holds
 from repro.network.demand import Pair
 from repro.network.topology import Topology
 from repro.paths.pathset import PathSet
@@ -127,6 +124,7 @@ def worst_case_k_failures(
         The worst scenario and its degradation.
     """
     healthy = TotalFlowTE(primary_only=True).solve(topology, demands, paths)
+    resolver = ScenarioResolver(topology, dict(demands), paths)
     best_gap = 0.0
     best_perf = float("inf")
     best_scenario = None
@@ -141,12 +139,10 @@ def worst_case_k_failures(
         ):
             continue
         checked += 1
-        failed = simulate_failed_network(topology, demands, paths, scenario)
         # An infeasible failed network delivers nothing -- maximal
-        # degradation, the same semantics ScenarioResolver.delivered
-        # uses.  Skipping it here would hide the true worst case while
+        # degradation.  Skipping it would hide the true worst case while
         # still counting the scenario as "checked".
-        failed_flow = float(failed.total_flow) if failed.feasible else 0.0
+        failed_flow = resolver.delivered(scenario)
         gap = healthy.total_flow - failed_flow
         if minimize_performance:
             better = failed_flow < best_perf - 1e-9

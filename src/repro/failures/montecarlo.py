@@ -24,7 +24,7 @@ import numpy as np
 import logging
 
 from repro.exceptions import TopologyError
-from repro.failures.scenario import FailureScenario, active_paths
+from repro.failures.scenario import FailureScenario
 from repro.network.demand import Pair
 from repro.network.topology import LagKey, Topology, lag_key
 from repro.obs.metrics import metrics
@@ -144,6 +144,13 @@ class ScenarioResolver:
     default :class:`TotalFlowTE(primary_only=False)` solver: an allowed
     path's baseline bound of the pair's demand volume is already implied
     by the demand row.
+
+    Turning a scenario into those patches is array work over incidence
+    arrays built once here (link -> LAG, capacity row -> LAG, path ->
+    LAGs), with the same semantics as
+    :meth:`~repro.failures.scenario.FailureScenario.residual_capacities`,
+    :meth:`~repro.failures.scenario.FailureScenario.down_lags` and
+    :func:`~repro.failures.scenario.active_paths`.
     """
 
     def __init__(
@@ -157,6 +164,7 @@ class ScenarioResolver:
         self.demands = dict(demands)
         self.paths = paths
         caps = effective_capacities(topology, None)
+        lag_index = {lag.key: i for i, lag in enumerate(topology.lags)}
 
         model = Model("scenario-resolver")
         self._path_vars: dict[tuple, Var] = {}
@@ -164,9 +172,17 @@ class ScenarioResolver:
         dem_cols: list[int] = []
         dem_indptr: list[int] = [0]
         dem_rhs: list[float] = []
+        # Per path variable, in column order: the LAGs it crosses, its
+        # pair's first path, and its Eq. 5 rank (0 for a primary, r for
+        # the r-th backup: usable once r earlier paths are down).
+        entry_path: list[int] = []
+        entry_lag: list[int] = []
+        pair_first: list[int] = []
+        rank: list[int] = []
         for pair, volume in self.demands.items():
             dp = paths[pair]
-            for path in dp.paths:
+            first = len(rank)
+            for j, path in enumerate(dp.paths):
                 var = model.add_var(
                     ub=max(volume, 0.0),
                     name=f"f[{pair}][{'-'.join(path)}]",
@@ -175,6 +191,10 @@ class ScenarioResolver:
                 dem_cols.append(var.index)
                 for lag in topology.lags_on_path(path):
                     per_lag[lag.key].append(var.index)
+                    entry_path.append(len(rank))
+                    entry_lag.append(lag_index[lag.key])
+                pair_first.append(first)
+                rank.append(max(j - dp.num_primary + 1, 0))
             if len(dem_cols) > dem_indptr[-1]:
                 dem_indptr.append(len(dem_cols))
                 dem_rhs.append(volume)
@@ -182,21 +202,20 @@ class ScenarioResolver:
             model.add_constrs_batch(
                 dem_indptr, dem_cols, rhs=dem_rhs, name="dem"
             )
-        self._lag_rows: dict[LagKey, int] = {}
+        self._cap_rows: list[int] = []
+        cap_row_lag: list[int] = []
         if per_lag:
             lag_cols: list[int] = []
             lag_indptr: list[int] = [0]
             lag_rhs: list[float] = []
-            keys = []
             for key, cols_on_lag in per_lag.items():
                 lag_cols.extend(cols_on_lag)
                 lag_indptr.append(len(lag_cols))
                 lag_rhs.append(caps[key])
-                keys.append(key)
-            rows = model.add_constrs_batch(
+                cap_row_lag.append(lag_index[key])
+            self._cap_rows = list(model.add_constrs_batch(
                 lag_indptr, lag_cols, rhs=lag_rhs, name="cap"
-            )
-            self._lag_rows = dict(zip(keys, rows))
+            ))
         model.set_objective(
             LinExpr.from_arrays(
                 np.fromiter(
@@ -210,6 +229,27 @@ class ScenarioResolver:
         )
         self._model = model
 
+        # Link columns in LAG/link order, so per-LAG sums add surviving
+        # capacities in the same order as residual_capacities().
+        self._link_col: dict[tuple, int] = {}
+        link_lag: list[int] = []
+        link_cap: list[float] = []
+        for i, lag in enumerate(topology.lags):
+            for k, link in enumerate(lag.links):
+                self._link_col[(lag.key, k)] = len(link_lag)
+                link_lag.append(i)
+                link_cap.append(link.capacity)
+        self._num_lags = len(topology.lags)
+        self._link_lag = np.asarray(link_lag, dtype=np.intp)
+        self._link_cap = np.asarray(link_cap, dtype=np.float64)
+        self._lag_links = np.bincount(self._link_lag,
+                                      minlength=self._num_lags)
+        self._cap_row_lag = np.asarray(cap_row_lag, dtype=np.intp)
+        self._entry_path = np.asarray(entry_path, dtype=np.intp)
+        self._entry_lag = np.asarray(entry_lag, dtype=np.intp)
+        self._pair_first = np.asarray(pair_first, dtype=np.intp)
+        self._rank = np.asarray(rank, dtype=np.intp)
+
     def delivered(self, scenario: FailureScenario) -> float:
         """Total traffic routed under ``scenario``.
 
@@ -221,18 +261,34 @@ class ScenarioResolver:
         downstream.  (A genuinely infeasible scenario delivers 0.0 from
         the fallback too, which is the correct value, not a guess.)
         """
-        capacities = scenario.residual_capacities(self.topology)
-        down = scenario.down_lags(self.topology)
-        bound_overrides: dict[Var, float] = {}
-        for pair in self.demands:
-            dp = self.paths[pair]
-            allowed = set(active_paths(self.topology, dp, down))
-            for path in dp.paths:
-                if path not in allowed:
-                    bound_overrides[self._path_vars[(pair, path)]] = 0.0
-        rhs_overrides = {
-            row: capacities[key] for key, row in self._lag_rows.items()
-        }
+        scenario.validate_for(self.topology)
+        failed = np.zeros(self._link_lag.size, dtype=bool)
+        failed[[self._link_col[link] for link in scenario.failed_links]] \
+            = True
+        # Residual capacity per LAG: its surviving links' sum.
+        residual = np.bincount(
+            self._link_lag, weights=np.where(failed, 0.0, self._link_cap),
+            minlength=self._num_lags,
+        )
+        # Eq. 3: a LAG is down when all its links are; Eq. 4: a path is
+        # down when any LAG on it is.
+        lag_down = np.bincount(
+            self._link_lag[failed], minlength=self._num_lags
+        ) == self._lag_links
+        path_down = np.bincount(
+            self._entry_path[lag_down[self._entry_lag]],
+            minlength=self._rank.size,
+        ) > 0
+        # Eq. 5: the r-th backup is allowed once r earlier paths of its
+        # pair are down -- a running count of down flags in path order.
+        down_before = np.cumsum(path_down) - path_down
+        down_before -= down_before[self._pair_first]
+        # Path variables are the model's columns, in path order.
+        pinned = np.flatnonzero((self._rank > 0) & (down_before < self._rank))
+        rhs_overrides = dict(zip(
+            self._cap_rows, residual[self._cap_row_lag].tolist()
+        ))
+        bound_overrides = dict.fromkeys(pinned.tolist(), 0.0)
         failure = None
         if maybe_fire("resolver.resolve", key=repr(scenario)):
             failure = "chaos-injected resolver failure"

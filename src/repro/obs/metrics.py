@@ -11,6 +11,11 @@ Like tracing (:mod:`repro.obs.trace`), the registry is ambient: call
 tracing there is no null variant -- increments are two dict operations,
 cheap enough to leave on unconditionally.
 
+Solver counters: ``solver.lp_iterations`` sums the simplex iterations
+of every pure-LP solve, and ``solver.backend_fallbacks`` counts LPs that
+went through ``scipy.optimize.linprog`` instead of the native HiGHS
+instance (:mod:`repro.solver.highs`).
+
 Service supervision counters (``/metricz``): the scheduler's
 self-healing machinery reports ``service.jobs.recovered`` (startup
 recovery of orphaned running jobs), ``service.jobs.reaped`` (expired

@@ -8,8 +8,15 @@ of them supply:
   with operator overloading (``2 * x + y <= 5``).
 * :mod:`repro.solver.model` -- a :class:`Model` that compiles expressions
   into sparse matrices and dispatches to :func:`scipy.optimize.milp` (for
-  mixed-integer programs) or :func:`scipy.optimize.linprog` (for pure LPs,
-  where dual values are also recovered).
+  mixed-integer programs) or, for pure LPs, to a live native HiGHS
+  instance that also reports one dual per row.
+* :mod:`repro.solver.highs` -- that instance: scipy's bundled HiGHS
+  binding, loaded once per compiled model and re-solved under patched
+  bounds from a cleared solver state, so every answer is independent of
+  the calls before it.  The binding is private; an import-time probe
+  checks it, and when it is unusable (scipy < 1.15) every LP goes
+  through :func:`scipy.optimize.linprog`, each fallback counted in the
+  ``solver.backend_fallbacks`` metric and logged.
 * :mod:`repro.solver.linearize` -- standard MILP linearization gadgets:
   indicator variables for threshold tests on integer expressions, and
   McCormick products of a binary and a bounded continuous variable.  These

@@ -3,7 +3,10 @@
 The model accumulates variables and constraints built with the expression
 algebra from :mod:`repro.solver.expr`, compiles them into sparse matrices,
 and dispatches to :func:`scipy.optimize.milp` (when any variable is
-integral) or :func:`scipy.optimize.linprog` (pure LPs; duals recovered).
+integral) or, for pure LPs, to a live native HiGHS instance
+(:mod:`repro.solver.highs`; duals read per row).  When that binding is
+unusable, LPs go through :func:`scipy.optimize.linprog` instead, and every
+such fallback is counted in ``solver.backend_fallbacks`` and logged.
 
 This is the stand-in for Gurobi in the paper's stack.  It intentionally
 exposes the two solver features the paper's evaluation leans on:
@@ -20,11 +23,13 @@ calls), and row/variable bounds live in amortized-growth buffers.
 Compilation concatenates the segments straight into a CSR matrix -- no
 per-term Python loop -- and the result is cached on the model until the
 next mutation, so repeated :meth:`Model.solve` /
-:meth:`Model.resolve_with` calls skip matrix assembly entirely.
+:meth:`Model.resolve_with` calls skip matrix assembly entirely; LP
+re-solves also reuse the loaded HiGHS instance.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from collections.abc import Hashable, Iterable, Mapping
 from itertools import repeat
@@ -34,10 +39,14 @@ import numpy as np
 from scipy import optimize, sparse
 
 from repro.exceptions import ModelingError
+from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
 from repro.resilience.faults import maybe_fire
+from repro.solver import highs
 from repro.solver.expr import Constraint, LinExpr, RangeConstraint, Var
 from repro.solver.result import SolveResult, SolveStats, SolveStatus
+
+logger = logging.getLogger(__name__)
 
 _SCIPY_STATUS = {
     0: SolveStatus.OPTIMAL,
@@ -104,6 +113,24 @@ class _Compiled(NamedTuple):
     max_abs_rhs: float
 
 
+_warned_once: set[str] = set()
+
+
+def _count_fallback(reason: str, once: bool = False) -> None:
+    """Count one LP sent to ``linprog`` instead of the native instance.
+
+    ``once`` logs the warning only the first time per process (a missing
+    binding would otherwise log on every LP); the count is always taken.
+    """
+    metrics().counter("solver.backend_fallbacks").inc()
+    if once:
+        if reason in _warned_once:
+            return
+        _warned_once.add(reason)
+    logger.warning("%s; solving this LP through scipy.optimize.linprog",
+                   reason)
+
+
 class Model:
     """A linear or mixed-integer optimization model.
 
@@ -144,6 +171,7 @@ class Model:
         self._num_batch_rows = 0
 
         self._compiled: _Compiled | None = None
+        self._native: highs.NativeLP | None = None
         self._materialized: list[Constraint] | None = None
         self._created = time.monotonic()
         self._build_seconds = 0.0
@@ -203,6 +231,7 @@ class Model:
     # -- building ---------------------------------------------------------
     def _invalidate(self) -> None:
         self._compiled = None
+        self._native = None
         self._materialized = None
 
     def add_var(
@@ -822,6 +851,7 @@ class Model:
         dual_mode: str,
         incremental: bool,
         compile_cached: bool,
+        iterations: int = 0,
     ) -> SolveStats:
         return SolveStats(
             rows=compiled.a.shape[0],
@@ -837,6 +867,7 @@ class Model:
             dual_mode=dual_mode,
             incremental=incremental,
             compile_cached=compile_cached,
+            iterations=iterations,
         )
 
     def _solve_milp(
@@ -914,12 +945,92 @@ class Model:
         self, compiled, time_limit, incremental, compile_cached,
         relaxed: bool = False,
     ) -> SolveResult:
+        sign = -1.0 if self._sense == "max" else 1.0
+        with current_tracer().span(
+            "lp_solve", model=self.name, incremental=incremental,
+            relaxed=relaxed,
+        ) as span:
+            started = time.monotonic()
+            run = self._run_native(compiled, sign, time_limit)
+            if run is None:
+                run = self._run_linprog(compiled, sign, time_limit)
+            elapsed = time.monotonic() - started
+            span.set(solve_seconds=elapsed, status=run.status.value,
+                     backend=run.backend, iterations=run.iterations)
+        metrics().counter("solver.lp_iterations").inc(run.iterations)
+        objective = (
+            float(sign * run.fun) + self._objective.constant
+            if run.fun is not None
+            else float("nan")
+        )
+        duals = sign * run.row_dual if run.row_dual is not None else None
+        message = run.message
+        if relaxed:
+            message = f"LP relaxation (integrality dropped); {message}"
+        return SolveResult(
+            status=run.status,
+            objective=objective,
+            x=run.x,
+            duals=duals,
+            solve_seconds=elapsed,
+            message=message,
+            stats=self._make_stats(
+                compiled,
+                f"{run.backend}-relaxation" if relaxed else run.backend,
+                elapsed,
+                "lp" if duals is not None else "none",
+                incremental,
+                compile_cached,
+                run.iterations,
+            ),
+        )
+
+    def _run_native(self, compiled, sign, time_limit) -> highs.LPRun | None:
+        """Solve on the model's live HiGHS instance; ``None`` to fall back.
+
+        The instance is built from the compiled CSR on first use and
+        dropped by :meth:`_invalidate`.  Every fallback to ``linprog`` --
+        no usable binding, a model HiGHS will not load, or a run ending in
+        ``kError`` -- is counted in ``solver.backend_fallbacks`` and
+        logged.
+        """
+        if highs.BINDING is None:
+            _count_fallback(
+                "the native HiGHS binding is unavailable", once=True)
+            return None
+        if self._native is None:
+            try:
+                self._native = highs.NativeLP(
+                    sign * compiled.c, compiled.a, compiled.row_lb,
+                    compiled.row_ub, compiled.var_lb, compiled.var_ub,
+                )
+            except RuntimeError as exc:
+                _count_fallback(f"{exc} ({self.name!r})")
+                return None
+        run = self._native.run(
+            compiled.row_lb, compiled.row_ub, compiled.var_lb,
+            compiled.var_ub, time_limit,
+        )
+        if run is None:
+            self._native = None
+            _count_fallback(f"native HiGHS run on {self.name!r} "
+                            f"returned kError")
+        return run
+
+    def _run_linprog(self, compiled, sign, time_limit) -> highs.LPRun:
+        """Solve through :func:`scipy.optimize.linprog`.
+
+        linprog wants ``A_ub x <= b_ub`` and ``A_eq x == b_eq``, so rows
+        are split; range rows (finite, unequal bounds) go into both the
+        ub block and the negated lb block.  The marginals are mapped back
+        to one dual per original row: a flipped lb row's marginal changes
+        sign, and a range row's two marginals are *summed* -- at most one
+        side binds at an optimum, and summing (rather than letting the lb
+        side overwrite the ub side, the historical bug) reports the
+        marginal of shifting the whole interval.
+        """
         row_lb, row_ub = compiled.row_lb, compiled.row_ub
         a_matrix = compiled.a
-        sign = -1.0 if self._sense == "max" else 1.0
-
-        # linprog wants A_ub x <= b_ub and A_eq x == b_eq; split rows.
-        # Range rows (finite, unequal bounds) contribute to BOTH masks.
         eq_mask = np.isfinite(row_lb) & np.isfinite(row_ub) & (row_lb == row_ub)
         ub_mask = ~eq_mask & np.isfinite(row_ub)
         lb_mask = ~eq_mask & np.isfinite(row_lb)
@@ -939,89 +1050,39 @@ class Model:
         options: dict = {}
         if time_limit is not None:
             options["time_limit"] = float(time_limit)
-        with current_tracer().span(
-            "lp_solve", model=self.name, incremental=incremental,
-            relaxed=relaxed,
-        ) as span:
-            started = time.monotonic()
-            res = optimize.linprog(
-                sign * compiled.c,
-                A_ub=a_ub,
-                b_ub=b_ub,
-                A_eq=a_eq,
-                b_eq=b_eq,
-                bounds=np.column_stack([compiled.var_lb, compiled.var_ub]),
-                method="highs",
-                options=options,
-            )
-            elapsed = time.monotonic() - started
-            status = _SCIPY_STATUS.get(res.status, SolveStatus.ERROR)
-            span.set(solve_seconds=elapsed, status=status.value)
-        x = np.asarray(res.x) if res.x is not None else None
-        objective = (
-            float(sign * res.fun) + self._objective.constant
-            if res.fun is not None
-            else float("nan")
+        res = optimize.linprog(
+            sign * compiled.c,
+            A_ub=a_ub,
+            b_ub=b_ub,
+            A_eq=a_eq,
+            b_eq=b_eq,
+            bounds=np.column_stack([compiled.var_lb, compiled.var_ub]),
+            method="highs",
+            options=options,
         )
-        duals = self._recover_duals(
-            res, eq_mask, ub_mask, lb_mask, sign, n_rows=row_lb.size
+        row_dual = None
+        if res.x is not None and hasattr(res, "ineqlin"):
+            row_dual = np.zeros(row_lb.size)
+            if res.ineqlin is not None:
+                marginals = np.asarray(res.ineqlin.marginals)
+                idx_ub = np.flatnonzero(ub_mask)
+                row_dual[idx_ub] += marginals[: idx_ub.size]
+                idx_lb = np.flatnonzero(lb_mask)
+                row_dual[idx_lb] += -marginals[
+                    idx_ub.size : idx_ub.size + idx_lb.size
+                ]
+            if getattr(res, "eqlin", None) is not None:
+                row_dual[np.flatnonzero(eq_mask)] = np.asarray(
+                    res.eqlin.marginals)
+        return highs.LPRun(
+            status=_SCIPY_STATUS.get(res.status, SolveStatus.ERROR),
+            fun=res.fun,
+            x=np.asarray(res.x) if res.x is not None else None,
+            row_dual=row_dual,
+            iterations=int(getattr(res, "nit", 0) or 0),
+            message=str(res.message),
+            backend="linprog",
         )
-        message = str(res.message)
-        if relaxed:
-            message = f"LP relaxation (integrality dropped); {message}"
-        return SolveResult(
-            status=status,
-            objective=objective,
-            x=x,
-            duals=duals,
-            solve_seconds=elapsed,
-            message=message,
-            stats=self._make_stats(
-                compiled,
-                "linprog-relaxation" if relaxed else "linprog",
-                elapsed,
-                "lp" if duals is not None else "none",
-                incremental,
-                compile_cached,
-            ),
-        )
-
-    def _recover_duals(self, res, eq_mask, ub_mask, lb_mask, sign, n_rows):
-        """Map linprog marginals back to original constraint order.
-
-        We report ``duals[i] = d(objective)/d(rhs_i)`` *in the model's own
-        sense*, so for a maximization a binding ``<=`` constraint has a
-        nonnegative dual (the usual TE shadow-price convention), and for a
-        minimization a binding ``>=`` constraint has a nonnegative dual.
-
-        Range rows appear in both the ub and lb blocks of the matrix fed
-        to linprog, so their two marginals are *summed* -- at most one
-        side is binding at an optimum, and summing (rather than letting
-        the lb side overwrite the ub side, the historical bug) reports the
-        marginal of shifting the whole interval.
-        """
-        if res.x is None or not hasattr(res, "ineqlin"):
-            return None
-        duals = np.zeros(n_rows)
-        if res.ineqlin is not None:
-            # linprog's marginal is d(min objective)/d(b) of the row as fed
-            # to linprog; our objective is sign * that, and flipped lb rows
-            # were fed as -A x <= -b, so d/d(b) gains another minus sign.
-            ineq_marginals = np.asarray(res.ineqlin.marginals)
-            idx_ub = np.flatnonzero(ub_mask)
-            duals[idx_ub] += sign * ineq_marginals[: idx_ub.size]
-            idx_lb = np.flatnonzero(lb_mask)
-            duals[idx_lb] += -sign * ineq_marginals[
-                idx_ub.size : idx_ub.size + idx_lb.size
-            ]
-        eq_marginals = (
-            np.asarray(res.eqlin.marginals)
-            if getattr(res, "eqlin", None) is not None
-            else None
-        )
-        if eq_marginals is not None:
-            duals[np.flatnonzero(eq_mask)] = sign * eq_marginals
-        return duals
 
     def __repr__(self):
         kind = "MILP" if self.is_mip else "LP"

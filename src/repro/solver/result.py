@@ -47,16 +47,28 @@ class SolveStats:
         compile_seconds: Time spent turning the model into CSR matrices
             (zero when the compile cache was reused).
         solve_seconds: Time inside the HiGHS backend call.
-        backend: ``"milp"`` or ``"linprog"``.
+        backend: Which path solved it: ``"milp"`` (:func:`scipy.optimize.milp`),
+            ``"highs"`` (an LP on the model's live native HiGHS instance,
+            see :mod:`repro.solver.highs`) or ``"linprog"``
+            (:func:`scipy.optimize.linprog`, taken only when the native
+            binding is unusable or a native run returned ``kError``).  LP
+            relaxations of a MILP (``solve(relax=True)``) append
+            ``"-relaxation"``.
         max_abs_coefficient: Largest coefficient magnitude in the matrix
             -- a proxy for big-M magnitudes (large values flag loose
             linearizations that invite numerical trouble).
         max_abs_rhs: Largest finite row-bound magnitude.
-        dual_mode: How duals were recovered: ``"lp"`` (linprog
-            marginals, range-row marginals summed) or ``"none"`` (MILPs).
+        dual_mode: How duals were recovered: ``"lp"`` (one dual per
+            model row -- HiGHS's row duals on the native path; on the
+            linprog path, marginals mapped back from its ub/lb/eq row
+            split with a range row's two marginals summed) or ``"none"``
+            (MILPs, and LPs without an optimal solution).
         incremental: Whether this was a :meth:`Model.resolve_with`
             re-solve reusing the compiled structure.
         compile_cached: Whether the compile cache supplied the matrices.
+        iterations: Simplex iterations of an LP solve (HiGHS's
+            ``simplex_iteration_count``, linprog's ``nit``); 0 for MILPs,
+            whose scipy result does not report them.
     """
 
     rows: int
@@ -72,6 +84,7 @@ class SolveStats:
     dual_mode: str
     incremental: bool = False
     compile_cached: bool = False
+    iterations: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -91,7 +104,8 @@ class SolveStats:
             f"compile {self.compile_seconds:.3f}s"
             f"{' (cached)' if self.compile_cached else ''}, "
             f"solve {self.solve_seconds:.3f}s"
-            f"{' (incremental)' if self.incremental else ''}; "
+            f"{' (incremental)' if self.incremental else ''}, "
+            f"{self.iterations} iterations; "
             f"|A|max {self.max_abs_coefficient:g}, "
             f"|b|max {self.max_abs_rhs:g}, duals {self.dual_mode}"
         )
@@ -106,8 +120,8 @@ class SolveResult:
         objective: Objective value in the model's own sense (max problems
             report the maximum), or ``nan`` when no solution exists.
         x: Variable values in column order, or ``None`` without a solution.
-        duals: Per-constraint dual values for pure LPs solved through
-            :func:`scipy.optimize.linprog` (``None`` for MILPs).  Signs
+        duals: Per-constraint dual values for pure LPs (``None`` for
+            MILPs).  Signs
             follow the model's stated sense: for a maximization, the dual
             of a binding ``<=`` constraint is nonnegative.
         mip_gap: Relative MIP gap reported by HiGHS when available.

@@ -138,20 +138,18 @@ class TestWorstCase:
                                                      monkeypatch):
         """Regression: infeasible failed networks were silently skipped,
         hiding the true worst case.  They deliver nothing, so they must
-        compete with failed_flow 0.0 -- the same semantics as
-        ``ScenarioResolver.delivered``."""
-        from types import SimpleNamespace
-
+        compete with failed_flow 0.0 -- the value
+        ``ScenarioResolver.delivered`` reports for them."""
         from repro.failures import enumeration
 
-        real = enumeration.simulate_failed_network
+        real = enumeration.ScenarioResolver.delivered
 
-        def flaky(topology, demands, paths, scenario, te_factory=None):
+        def flaky(self, scenario):
             if scenario.is_failed(("a", "b"), 0):
-                return SimpleNamespace(feasible=False, total_flow=16.0)
-            return real(topology, demands, paths, scenario, te_factory)
+                return 0.0
+            return real(self, scenario)
 
-        monkeypatch.setattr(enumeration, "simulate_failed_network", flaky)
+        monkeypatch.setattr(enumeration.ScenarioResolver, "delivered", flaky)
         paths = PathSet.k_shortest(diamond, [("a", "d")], 2, 0)
         result = worst_case_k_failures(
             diamond, {("a", "d"): 100.0}, paths, max_failures=1

@@ -211,3 +211,54 @@ class TestScenarioResolver:
 
     def test_exported_from_package(self):
         from repro.failures import ScenarioResolver  # noqa: F401
+
+
+class TestResolverBackends:
+    """Delivered flow must not depend on the LP backend or on the order
+    scenarios are resolved in: the parallel engine's bit-identity across
+    chunkings and ``--jobs`` rests on it."""
+
+    @staticmethod
+    def _instance():
+        from repro.analysis.experiments import bench_wan
+        from repro.failures.availability import ScenarioSampler
+
+        net = bench_wan(num_regions=3, nodes_per_region=5, num_pairs=10,
+                        demand_to_capacity=1.4, seed=1)
+        paths = net.paths(num_primary=2, num_backup=1)
+        sampler = ScenarioSampler(net.topology)
+        matrix = sampler.sample(np.random.default_rng(11), 300)
+        scenarios = list({sampler.scenario_for(row) for row in matrix})
+        scenarios.sort(key=lambda s: sorted(s.failed_links))
+        return net.topology, dict(net.avg_demands), paths, scenarios
+
+    def test_native_linprog_and_order_give_equal_floats(self, monkeypatch):
+        from repro.failures.montecarlo import ScenarioResolver
+        from repro.solver import highs
+
+        topology, demands, paths, scenarios = self._instance()
+        assert len(scenarios) > 20
+        resolver = ScenarioResolver(topology, demands, paths)
+        in_order = {s: resolver.delivered(s) for s in scenarios}
+        shuffled = list(scenarios)
+        np.random.default_rng(5).shuffle(shuffled)
+        resolver = ScenarioResolver(topology, demands, paths)
+        assert {s: resolver.delivered(s) for s in shuffled} == in_order
+        monkeypatch.setattr(highs, "BINDING", None)
+        resolver = ScenarioResolver(topology, demands, paths)
+        assert {s: resolver.delivered(s) for s in scenarios} == in_order
+
+    def test_infeasible_resolve_delivers_zero_without_fallback(
+            self, diamond, paths, monkeypatch):
+        from repro.failures.montecarlo import ScenarioResolver
+        from repro.failures.scenario import FailureScenario
+        from repro.obs.metrics import metrics_scope
+        from repro.solver import SolveResult, SolveStatus
+
+        resolver = ScenarioResolver(diamond, {("a", "d"): 12.0}, paths)
+        monkeypatch.setattr(
+            resolver._model, "resolve_with",
+            lambda **_: SolveResult(status=SolveStatus.INFEASIBLE))
+        with metrics_scope() as registry:
+            assert resolver.delivered(FailureScenario()) == 0.0
+        assert registry.counter("resolver.fallbacks").value == 0

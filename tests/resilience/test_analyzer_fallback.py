@@ -102,7 +102,8 @@ class TestPartialResultRung:
         assert "PARTIAL" in partial.summary()
 
     def test_partial_provenance_records_every_rung(self, diamond,
-                                                   diamond_paths):
+                                                   diamond_paths,
+                                                   lp_backend):
         config = _config(
             resilience=ResilienceConfig(allow_partial=True))
         with injected(_always_timeout_plan()):
@@ -115,7 +116,8 @@ class TestPartialResultRung:
         assert "escalated" in partial.provenance[1]
         assert "LP relaxation" in partial.provenance[2]
         assert partial.solver_stats is not None
-        assert partial.solver_stats["backend"] == "linprog-relaxation"
+        assert partial.solver_stats["backend"] == \
+            f"{lp_backend}-relaxation"
 
     def test_zero_faults_zero_partials(self, diamond, diamond_paths):
         """allow_partial alone must never change a healthy analysis."""

@@ -5,6 +5,10 @@ Covers ``LinExpr.from_arrays`` / batched ``quicksum``, ``add_vars_batch``,
 ``SolveStats`` telemetry, and -- crucially -- the dual-recovery regression
 for range constraints (the two linprog marginal loops must *sum* into a
 row present in both the ub and lb masks, not overwrite it).
+
+Every LP-solving class runs twice: as written (on the native HiGHS
+instance when the binding is usable) and as a ``*Linprog`` subclass at the
+end of the file with every LP forced through ``scipy.optimize.linprog``.
 """
 
 import numpy as np
@@ -264,6 +268,17 @@ class TestCompileCache:
         assert r.stats.compile_cached is False
         assert r.objective == pytest.approx(1.0)
 
+    def test_mutation_after_resolve_is_seen(self):
+        m = Model()
+        x = m.add_var(ub=3.0)
+        cap = m.add_constr(x <= 2.0)
+        m.set_objective(x.to_expr(), sense="max")
+        assert m.resolve_with({cap: 2.5}).objective == pytest.approx(2.5)
+        m.add_constr(x <= 1.0)
+        assert m.resolve_with({cap: 2.5}).objective == pytest.approx(1.0)
+        m.set_objective(x.to_expr(), sense="min")
+        assert m.resolve_with({cap: 2.5}).objective == pytest.approx(0.0)
+
     def test_objective_change_invalidates_cache(self):
         m = Model()
         x = m.add_var(lb=-1.0, ub=3.0)
@@ -351,6 +366,31 @@ class TestResolveWith:
         assert r.objective == pytest.approx(3.0)
         assert r.stats.incremental is True
 
+    @staticmethod
+    def _two_row_model():
+        m = Model()
+        xs = m.add_vars_batch(3, ub=10.0)
+        rows = m.add_constrs_batch(
+            [0, 2, 4], [0, 1, 1, 2], [1.0, 1.0, 1.0, 2.0], rhs=[6.0, 8.0]
+        )
+        m.add_range_constr(xs[0] - xs[2], -3.0, 3.0)
+        m.set_objective(quicksum(xs, coefs=[3.0, 2.0, 1.0]), sense="max")
+        return m, xs, rows
+
+    def test_overrides_do_not_leak_into_the_next_resolve(self):
+        """resolve_with(A) then resolve_with(B) must equal a fresh
+        resolve_with(B): A's patched rows and bounds are not kept."""
+        m, xs, rows = self._two_row_model()
+        m.resolve_with({rows[0]: 1.0}, {xs[2]: (2.0, 4.0)})
+        after_a = m.resolve_with({rows[1]: 5.0}, {xs[0]: 0.5})
+        fresh, fxs, frows = self._two_row_model()
+        expected = fresh.resolve_with({frows[1]: 5.0}, {fxs[0]: 0.5})
+        assert after_a.objective == expected.objective
+        np.testing.assert_array_equal(after_a.x, expected.x)
+        np.testing.assert_array_equal(after_a.duals, expected.duals)
+        plain = m.solve()
+        np.testing.assert_array_equal(plain.x, fresh.solve().x)
+
     def test_resolve_milp(self):
         m = Model()
         z = m.add_var(binary=True)
@@ -436,7 +476,7 @@ class TestRangeDualRegression:
 
 
 class TestSolveStats:
-    def test_lp_stats_fields(self):
+    def test_lp_stats_fields(self, lp_backend):
         m = Model()
         x, y = m.add_vars_batch(2, ub=4.0)
         m.add_constr(x + y <= 6.0)
@@ -444,7 +484,7 @@ class TestSolveStats:
         stats = m.solve().stats
         assert (stats.rows, stats.cols, stats.nnz) == (1, 2, 2)
         assert stats.num_integer == 0
-        assert stats.backend == "linprog"
+        assert stats.backend == lp_backend
         assert stats.dual_mode == "lp"
         assert stats.max_abs_coefficient == pytest.approx(1.0)
         assert stats.max_abs_rhs == pytest.approx(6.0)
@@ -463,15 +503,30 @@ class TestSolveStats:
         assert stats.dual_mode == "none"
         assert stats.max_abs_coefficient == pytest.approx(7.0)
 
-    def test_to_dict_and_summary(self):
+    def test_iterations_counted(self):
+        rng = np.random.default_rng(3)
+        m = Model()
+        xs = m.add_vars_batch(8, ub=10.0)
+        m.add_constrs_batch(
+            np.arange(0, 49, 8), np.tile(np.arange(8), 6),
+            rng.uniform(0.5, 2.0, 48), rhs=rng.uniform(5.0, 10.0, 6),
+        )
+        m.set_objective(quicksum(xs, coefs=rng.uniform(1.0, 2.0, 8)),
+                        sense="max")
+        stats = m.solve().stats
+        assert stats.iterations > 0
+        assert f"{stats.iterations} iterations" in stats.summary()
+        assert stats.to_dict()["iterations"] == stats.iterations
+
+    def test_to_dict_and_summary(self, lp_backend):
         m = Model()
         x = m.add_var(ub=1.0)
         m.set_objective(x.to_expr(), sense="max")
         stats = m.solve().stats
         d = stats.to_dict()
-        assert d["backend"] == "linprog"
+        assert d["backend"] == lp_backend
         assert d["compile_cached"] is False
-        assert "linprog" in stats.summary()
+        assert lp_backend in stats.summary()
         assert stats.total_seconds == pytest.approx(
             stats.compile_seconds + stats.solve_seconds
         )
@@ -516,3 +571,41 @@ class TestDualSignConventions:
         loose = m.add_constr(x <= 50.0)
         m.set_objective(x.to_expr(), sense="max")
         assert m.solve().duals[loose.row] == pytest.approx(0.0)
+
+
+# -- the same LP tests with every LP forced through linprog ---------------
+
+
+@pytest.mark.usefixtures("linprog_only")
+class TestAddVarsBatchLinprog(TestAddVarsBatch):
+    pass
+
+
+@pytest.mark.usefixtures("linprog_only")
+class TestAddConstrsBatchLinprog(TestAddConstrsBatch):
+    pass
+
+
+@pytest.mark.usefixtures("linprog_only")
+class TestCompileCacheLinprog(TestCompileCache):
+    pass
+
+
+@pytest.mark.usefixtures("linprog_only")
+class TestResolveWithLinprog(TestResolveWith):
+    pass
+
+
+@pytest.mark.usefixtures("linprog_only")
+class TestRangeDualRegressionLinprog(TestRangeDualRegression):
+    pass
+
+
+@pytest.mark.usefixtures("linprog_only")
+class TestSolveStatsLinprog(TestSolveStats):
+    pass
+
+
+@pytest.mark.usefixtures("linprog_only")
+class TestDualSignConventionsLinprog(TestDualSignConventions):
+    pass

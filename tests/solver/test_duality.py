@@ -1,4 +1,8 @@
-"""Tests for InnerLP: KKT embedding exactness and verification."""
+"""Tests for InnerLP: KKT embedding exactness and verification.
+
+The ``*Linprog`` subclasses at the end re-run the solving classes with
+every LP (the inner re-solves) forced through ``scipy.optimize.linprog``.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -190,3 +194,37 @@ class TestResolveAt:
         host.set_objective(-inner.objective_expr(), sense="max")
         r = host.solve().require_ok()
         assert inner.verify_optimality(r) == pytest.approx(b, abs=1e-5)
+
+
+# -- the same tests with every LP forced through linprog ------------------
+
+
+@pytest.mark.usefixtures("linprog_only")
+class TestKktTracksOptimumLinprog(TestKktTracksOptimum):
+    pass
+
+
+@pytest.mark.usefixtures("linprog_only")
+class TestStackelbergGameLinprog(TestStackelbergGame):
+    pass
+
+
+@pytest.mark.usefixtures("linprog_only")
+class TestMinimizationInnerLinprog(TestMinimizationInner):
+    pass
+
+
+@pytest.mark.usefixtures("linprog_only")
+class TestValidationLinprog(TestValidation):
+    pass
+
+
+@pytest.mark.usefixtures("linprog_only")
+class TestResolveAtLinprog(TestResolveAt):
+    # Hypothesis refuses one @given method run from two classes, so the
+    # subclass wraps the same body in its own @given.
+    @settings(max_examples=15, deadline=None)
+    @given(b=st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
+    def test_kkt_equals_lp_for_any_parameter(self, b):
+        TestResolveAt.test_kkt_equals_lp_for_any_parameter.hypothesis \
+            .inner_test(self, b)
