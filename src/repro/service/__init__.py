@@ -3,7 +3,8 @@
 A serving layer over the batch runner: a durable SQLite job queue
 (:mod:`~repro.service.store`), a claim/run/settle scheduler pool
 (:mod:`~repro.service.scheduler`) that drains jobs through the existing
-sweep executor, admission control with load shedding
+sweep executor -- on the claim loop it shares with remote workers
+(:mod:`~repro.service.claims`) -- admission control with load shedding
 (:mod:`~repro.service.admission`), a TTL/size-capped result store
 (:mod:`~repro.service.results`), and a zero-dependency HTTP API
 (:mod:`~repro.service.api`) with a matching client

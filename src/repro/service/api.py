@@ -428,18 +428,14 @@ class AnalysisService:
         if spans and current_tracer().enabled:
             # Prefixed by job key so two workers' span ids never collide.
             current_tracer().merge(spans, prefix=f"{key[:12]}:")
-        try:
-            self.store.settle(analysis_id, key, state, status=status,
-                              error=error, token=token)
-        except ServiceError as exc:
-            metrics().counter("service.stale_settles").inc()
-            return 409, {"error": str(exc), "settled": False}, {}
+        if not self.scheduler.settle_claim(analysis_id, key, token, state,
+                                           status=status, error=error):
+            return 409, {
+                "error": f"job {key[:12]} is not running under this "
+                         "claim; settle refused",
+                "settled": False,
+            }, {}
         metrics().counter("service.remote_settles").inc()
-        metrics().counter({
-            "done": "service.jobs_done",
-            "failed": "service.jobs_failed",
-            "cancelled": "service.jobs_cancelled",
-        }[state]).inc()
         metrics().gauge("service.queue_depth").set(self.store.depth())
         return 200, {"settled": True, "state": state}, {}
 

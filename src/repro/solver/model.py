@@ -763,7 +763,7 @@ class Model:
                 side).
             time_limit / mip_rel_gap: As in :meth:`solve`.
         """
-        compiled, _ = self._ensure_compiled()
+        compiled, cached = self._ensure_compiled()
         row_lb, row_ub = compiled.row_lb, compiled.row_ub
         if rhs_overrides:
             row_lb = row_lb.copy()
@@ -837,10 +837,10 @@ class Model:
         if self.is_mip:
             return self._solve_milp(
                 patched, time_limit, mip_rel_gap,
-                incremental=True, compile_cached=True,
+                incremental=True, compile_cached=cached,
             )
         return self._solve_lp(
-            patched, time_limit, incremental=True, compile_cached=True
+            patched, time_limit, incremental=True, compile_cached=cached
         )
 
     def _make_stats(

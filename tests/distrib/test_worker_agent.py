@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.core.config import DistribConfig, ServiceConfig
+from repro.core.config import DistribConfig, RunnerConfig, ServiceConfig
 from repro.distrib.worker import WorkerAgent
 from repro.resilience.faults import FaultPlan, FaultPoint, injected
 from repro.service.api import AnalysisService, make_server
@@ -132,6 +132,88 @@ class TestFencing:
                     if t["to_state"] in ("done", "failed", "cancelled")]
         assert len(terminal) == 1
         assert client.result(accepted["id"])["counts"]["done"] == 1
+
+
+class TestRenewalHorizon:
+    #: Far past the claim's renewal horizon (0.2s wall + 0.3s lease).
+    HANG_SECONDS = 6.0
+
+    def test_wedged_claim_lapses_and_is_reaped(self, coordinator,
+                                               monkeypatch):
+        monkeypatch.setenv("REPRO_CHAOS_HANG_SECONDS",
+                           str(self.HANG_SECONDS))
+        client = ServiceClient(coordinator.base_url, client_id="test")
+        spec = echo_spec([5], name="wedged")
+        spec["base"] = {"time_limit": 0.2}
+        accepted = client.submit(spec)
+        plan = {"kind": "fault_plan", "seed": 3, "points": [
+            {"site": "worker.hang", "attempts": [1]}]}
+        # In-process on a slot thread, where SIGALRM cannot fire: the
+        # executor cannot stop the hang, and heartbeats stay healthy,
+        # so only the renewal horizon lets the lease lapse.
+        wedged = WorkerAgent(
+            coordinator.base_url,
+            config=DistribConfig(num_workers=1, lease_seconds=0.3,
+                                 heartbeat_interval_seconds=0.05,
+                                 poll_interval_seconds=0.05),
+            runner_config=RunnerConfig(num_workers=1, retries=0,
+                                       wall_timeout_factor=1.0,
+                                       wall_timeout_margin=0.0),
+            worker_id="agent-wedged", isolate_jobs=False)
+        started = time.monotonic()
+        with injected(plan):
+            ran_in = threading.Thread(target=wedged.run_until_idle,
+                                      daemon=True)
+            ran_in.start()
+            while coordinator.scheduler.reap_once() == 0:
+                assert time.monotonic() - started < self.HANG_SECONDS - 2
+                time.sleep(0.05)
+            # A second agent re-runs the requeued job (attempt 2, no
+            # hang) and settles it while the first is still wedged.
+            fast = make_agent(coordinator, lease_seconds=30.0)
+            assert fast.run_until_idle() == 1
+            assert time.monotonic() - started < self.HANG_SECONDS - 1
+            assert ran_in.is_alive()
+            ran_in.join(timeout=self.HANG_SECONDS + 10)
+        assert not ran_in.is_alive()
+        assert fast.counts == {"done": 1}
+        assert wedged.counts == {"stale": 1}  # late settle refused
+        results = client.result(accepted["id"])
+        assert results["counts"]["done"] == 1
+        assert results["jobs"][0]["result"] == {"echo": 5}
+        terminal = [t for t in coordinator.store.transitions(accepted["id"])
+                    if t["to_state"] in ("done", "failed", "cancelled")]
+        assert len(terminal) == 1
+
+
+class TestDeadlines:
+    def test_claim_past_deadline_counts_deadline_exceeded(
+            self, coordinator, monkeypatch):
+        client = ServiceClient(coordinator.base_url, client_id="test")
+        accepted = client.submit(echo_spec([1], name="late"),
+                                 deadline_seconds=1.0)
+        agent = make_agent(coordinator)
+        claim = agent.client.claim
+
+        def claim_then_stall(**kwargs):
+            claimed, retry_after = claim(**kwargs)
+            if claimed is not None:
+                time.sleep(1.5)  # the deadline passes after the claim
+            return claimed, retry_after
+
+        monkeypatch.setattr(agent.client, "claim", claim_then_stall)
+        before = client.metrics()["counters"]
+        assert agent.run_until_idle() == 1
+        after = client.metrics()["counters"]
+        assert agent.counts == {"failed": 1}
+        job = client.result(accepted["id"])["jobs"][0]
+        assert job["status"] == "deadline_exceeded"
+        # Counted like a local claim past its deadline (and a queued
+        # expiry): as a deadline miss, not as an executor failure.
+        assert after.get("service.jobs.deadline_exceeded", 0) \
+            == before.get("service.jobs.deadline_exceeded", 0) + 1
+        assert after.get("service.jobs_failed", 0) \
+            == before.get("service.jobs_failed", 0)
 
 
 class TestChaos:

@@ -131,3 +131,27 @@ class TestDrain:
         # attempt either settled or its claim was handed back.
         assert counts["running"] == 0
         assert counts["done"] + counts["queued"] == 6
+
+    def test_drain_timeout_is_one_deadline_for_all_workers(
+            self, store, tmp_path):
+        submitted(store, sleep_spec(2.0, [1, 2]))
+        scheduler = Scheduler(store, ResultCache(tmp_path / "cache"),
+                              fast_config(num_workers=2,
+                                          drain_timeout_seconds=0.5))
+        scheduler.start()
+        deadline = time.monotonic() + 10
+        while store.counts()["running"] < 2 \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert store.counts()["running"] == 2
+        started = time.monotonic()
+        scheduler.stop(drain=True)
+        elapsed = time.monotonic() - started
+        # Both busy workers share the 0.5s drain budget; joining each
+        # with the full timeout in turn would take ~1.0s.
+        assert elapsed < 0.8
+        # The abandoned in-flight jobs still finish and settle.
+        deadline = time.monotonic() + 10
+        while store.counts()["done"] < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert store.counts()["done"] == 2

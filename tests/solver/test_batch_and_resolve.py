@@ -279,6 +279,20 @@ class TestCompileCache:
         m.set_objective(x.to_expr(), sense="min")
         assert m.resolve_with({cap: 2.5}).objective == pytest.approx(0.0)
 
+    def test_resolve_reports_recompile_after_mutation(self):
+        m = Model()
+        x = m.add_var(ub=3.0)
+        cap = m.add_constr(x <= 2.0)
+        m.set_objective(x.to_expr(), sense="max")
+        m.solve()
+        assert m.resolve_with({cap: 2.5}).stats.compile_cached is True
+        y = m.add_var(ub=1.0)
+        m.set_objective(x + y, sense="max")
+        r = m.resolve_with({cap: 2.5})
+        assert r.stats.compile_cached is False
+        assert r.stats.compile_seconds > 0.0
+        assert r.objective == pytest.approx(3.5)
+
     def test_objective_change_invalidates_cache(self):
         m = Model()
         x = m.add_var(lb=-1.0, ub=3.0)

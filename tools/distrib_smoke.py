@@ -12,7 +12,11 @@ jobs:
    lease lapses, the coordinator's reaper requeues, and the surviving
    worker settles the job exactly once;
 4. the remaining worker drains cleanly on SIGTERM (exit 0, nothing
-   left running, fleet roster empty), and so does the coordinator.
+   left running, fleet roster empty);
+5. a ``DELETE`` on a job running on a fresh (process-isolating) worker
+   settles it ``cancelled`` within a few heartbeat intervals -- the
+   cancel rides the heartbeat response -- and that worker goes on to
+   settle the next job; then it and the coordinator drain cleanly.
 
 Every process's stderr is teed to ``$DISTRIB_SMOKE_LOG_DIR`` (default:
 ``<tmp>/logs``) so CI can upload coordinator/worker logs as artifacts
@@ -85,15 +89,27 @@ def build_spec() -> dict:
     }
 
 
-def sleep_spec() -> dict:
-    """One 8-second job -- a window to SIGKILL the worker holding it."""
+def sleep_spec(seconds: float = 8.0,
+               name: str = "distrib-smoke-kill") -> dict:
+    """One sleeping job -- a window to act on the worker holding it."""
     return {
         "kind": "sweep_spec",
-        "name": "distrib-smoke-kill",
+        "name": name,
         "task": "tests.runner._workers:sleep_task",
         "instance": {"topology": {"nodes": [], "links": []}},
-        "base": {"sleep_seconds": 8.0},
+        "base": {"sleep_seconds": seconds},
         "grid": {"value": [1]},
+    }
+
+
+def echo_spec() -> dict:
+    """One instant job, for the worker to settle after a cancel."""
+    return {
+        "kind": "sweep_spec",
+        "name": "distrib-smoke-after-cancel",
+        "task": "tests.runner._workers:echo_task",
+        "instance": {"topology": {"nodes": [], "links": []}},
+        "grid": {"value": [42]},
     }
 
 
@@ -130,15 +146,27 @@ def start_coordinator(workdir: Path, log_dir: Path):
     raise RuntimeError("coordinator never wrote its state file")
 
 
-def start_worker(name: str, url: str, log_dir: Path):
+#: The workers' heartbeat cadence; the remote cancel channel.
+HEARTBEAT_SECONDS = 0.5
+
+
+def start_worker(name: str, url: str, log_dir: Path,
+                 isolate: bool = False):
     log = open(log_dir / f"{name}.log", "w")
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "worker",
          "--connect", url, "--workers", "1", "--name", name,
-         "--no-isolate", "--lease-seconds", "3.0",
-         "--heartbeat-interval", "0.5", "--poll-interval", "0.1",
-         "--drain-timeout", "60"],
+         *([] if isolate else ["--no-isolate"]), "--lease-seconds", "3.0",
+         "--heartbeat-interval", str(HEARTBEAT_SECONDS),
+         "--poll-interval", "0.1", "--drain-timeout", "60"],
         cwd=REPO_ROOT, env=_env(), stderr=log)
+
+
+def drain(name: str, proc) -> str | None:
+    """SIGTERM one worker; the failure message, or None on exit 0."""
+    proc.send_signal(signal.SIGTERM)
+    code = proc.wait(timeout=120)
+    return None if code == 0 else f"worker {name} exited {code} on SIGTERM"
 
 
 def wait_for(predicate, timeout: float, what: str):
@@ -241,11 +269,9 @@ def main() -> int:
             # off the roster (the SIGKILLed victim never deregistered,
             # so its row lingers -- that is the point of the listing),
             # nothing left running.
-            workers[survivor].send_signal(signal.SIGTERM)
-            code = workers[survivor].wait(timeout=120)
-            if code != 0:
-                return _fail(f"worker {survivor} exited {code} on "
-                             f"SIGTERM")
+            failure = drain(survivor, workers[survivor])
+            if failure:
+                return _fail(failure)
             del workers[survivor]
             wait_for(
                 lambda: survivor not in {
@@ -254,6 +280,41 @@ def main() -> int:
                 timeout=30, what="the drained worker to deregister")
             if client.health()["counts"]["running"] != 0:
                 return _fail("jobs left running after the drain")
+
+            # 6. Remote cancel: DELETE a job running on a worker
+            # process; the cancel rides the heartbeat response into the
+            # executor's poll, and the worker moves on to the next job.
+            # Process isolation, so the executor can abandon the sleep.
+            # The abandoned pool process still sleeps out its task and
+            # holds up the worker's exit until then: keep the task far
+            # longer than the cancel bound, but short.
+            workers["smoke-w3"] = start_worker("smoke-w3", url, log_dir,
+                                               isolate=True)
+            doomed = client.submit(sleep_spec(15.0, "distrib-smoke-cancel"))
+            wait_for(
+                lambda: client._request("GET", "/v1/claims")[1]["claims"],
+                timeout=60, what="the cancel job to be claimed")
+            cancelled_at = time.monotonic()
+            client.cancel(doomed["id"])
+            wait_for(
+                lambda: client.status(doomed["id"])["counts"]["cancelled"],
+                timeout=60, what="the remote cancel to settle")
+            took = time.monotonic() - cancelled_at
+            if took > 6 * HEARTBEAT_SECONDS:
+                return _fail(f"remote cancel took {took:.2f}s, more than "
+                             f"a few {HEARTBEAT_SECONDS}s heartbeats")
+            print(f"remote cancel settled in {took:.2f}s",
+                  file=sys.stderr)
+            after = client.submit(echo_spec())
+            results = client.wait(after["id"], timeout=60,
+                                  poll_interval=0.2)
+            if results["counts"]["done"] != 1:
+                return _fail(f"worker stalled after the cancel: "
+                             f"{results['counts']}")
+            failure = drain("smoke-w3", workers["smoke-w3"])
+            if failure:
+                return _fail(failure)
+            del workers["smoke-w3"]
         finally:
             for proc in workers.values():
                 proc.kill()
@@ -264,7 +325,8 @@ def main() -> int:
 
     print("distrib smoke ok: fleet sweep bit-identical to the direct "
           "run, duplicate submission deduped, SIGKILLed worker's job "
-          "recovered exactly once, clean SIGTERM drain")
+          "recovered exactly once, clean SIGTERM drain, remote cancel "
+          "settled and the worker moved on")
     return 0
 
 
