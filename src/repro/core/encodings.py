@@ -14,12 +14,13 @@ the outer problem"):
 * the Section 5.1 constraint library: probability thresholds (in log
   form), failure-count limits, connected-enforcement.
 
-**Failability.** A link participates in the failure search only if it is
-*failable*: links without a failure probability are treated as
-non-failable when a probability threshold is active (they have no term in
-the probability product), and always when their LAG is listed in
-``non_failable_lags`` -- this is how virtual gateway LAGs (Section 9) and
-"cannot fail" capacity augments (Figure 17/18) are modeled.
+**Failability.** Which links may fail, which share a binary and what
+the threshold row charges for them is read from the topology's
+:class:`~repro.failures.model.FailureModel`, the same one the Monte Carlo
+sampler and scenario pricing use.  On top of it, the links of every LAG
+in ``non_failable_lags`` never fail -- this is how virtual gateway LAGs
+(Section 9) and "cannot fail" capacity augments (Figure 17/18) are
+modeled.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from math import log
 
 from repro.core.config import RahaConfig
-from repro.exceptions import ModelingError
+from repro.failures.model import FailureModel
 from repro.failures.scenario import FailureScenario
 from repro.network.demand import Pair
 from repro.network.topology import LagKey, Topology, lag_key
@@ -58,6 +59,8 @@ class FailureEncoding:
     config: RahaConfig
     non_failable_lags: frozenset[LagKey] = frozenset()
 
+    #: The topology's failure model, shared with sampling and pricing.
+    failure_model: FailureModel = field(init=False, repr=False)
     #: (lag key, link idx) -> binary Var, or 0.0 for non-failable links.
     link_down: dict = field(default_factory=dict, init=False)
     #: lag key -> binary Var, or 0.0 when the LAG can never fully fail.
@@ -71,6 +74,7 @@ class FailureEncoding:
     path_active: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
+        self.failure_model = FailureModel(self.topology)
         self._build_link_variables()
         self._build_lag_down()
         self._build_path_down()
@@ -80,61 +84,30 @@ class FailureEncoding:
     # -- failability --------------------------------------------------------
     def link_is_failable(self, key: LagKey, link_index: int) -> bool:
         """Whether the failure search may bring this link down."""
-        if lag_key(*key) in self.non_failable_lags:
-            return False
-        lag = self.topology.require_lag(*key)
-        link = lag.links[link_index]
-        if not link.can_fail:
-            return False
-        if link.failure_probability is None:
-            if self.config.probability_threshold is None:
-                return True
-            # Under a threshold the link needs a term in the probability
-            # product: its own probability, or its SRLG's group one.
-            member = (lag_key(*key), link_index)
-            return any(
-                srlg.failure_probability is not None
-                and any(
-                    (lag_key(*m[0]), m[1]) == member for m in srlg.members
-                )
-                for srlg in self.topology.srlgs
-            )
-        return True
+        return self.failure_model.failable(
+            self.failure_model.index[(lag_key(*key), link_index)],
+            self.config.probability_threshold, self.non_failable_lags)
 
     # -- construction ---------------------------------------------------------
-    def _srlg_groups(self) -> dict[tuple[LagKey, int], int]:
-        """Map each SRLG member to its group id."""
-        groups: dict[tuple[LagKey, int], int] = {}
-        for gid, srlg in enumerate(self.topology.srlgs):
-            for member in srlg.members:
-                key, idx = lag_key(*member[0]), member[1]
-                if (key, idx) in groups:
-                    raise ModelingError(
-                        f"link {key}#{idx} belongs to multiple SRLGs"
-                    )
-                groups[(key, idx)] = gid
-        return groups
-
     def _build_link_variables(self) -> None:
-        srlg_of = self._srlg_groups()
+        fm = self.failure_model
         group_var: dict[int, Var] = {}
-        for lag in self.topology.lags:
-            for i in range(lag.num_links):
-                if not self.link_is_failable(lag.key, i):
-                    self.link_down[(lag.key, i)] = 0.0
-                    continue
-                gid = srlg_of.get((lag.key, i))
-                if gid is not None:
-                    # SRLG members share one binary (fate-sharing).
-                    if gid not in group_var:
-                        group_var[gid] = self.model.add_var(
-                            binary=True, name=f"u_srlg[{gid}]"
-                        )
-                    self.link_down[(lag.key, i)] = group_var[gid]
-                else:
-                    self.link_down[(lag.key, i)] = self.model.add_var(
-                        binary=True, name=f"u[{lag.key}#{i}]"
+        for pos, key in enumerate(fm.links):
+            if not self.link_is_failable(*key):
+                self.link_down[key] = 0.0
+                continue
+            gid = fm.srlg_of[pos]
+            if gid is not None:
+                # SRLG members share one binary (fate-sharing).
+                if gid not in group_var:
+                    group_var[gid] = self.model.add_var(
+                        binary=True, name=f"u_srlg[{gid}]"
                     )
+                self.link_down[key] = group_var[gid]
+            else:
+                self.link_down[key] = self.model.add_var(
+                    binary=True, name=f"u[{key[0]}#{key[1]}]"
+                )
         # Variable LAG capacities: c_e = sum c_le (1 - u_le).
         for lag in self.topology.lags:
             expr = LinExpr()
@@ -244,40 +217,25 @@ class FailureEncoding:
     def _add_probability_constraint(self, threshold: float) -> None:
         """log(prod pi^u (1-pi)^(1-u)) >= log T, linearized per Section 5.1.
 
-        SRLG members with a group probability contribute a single term
-        driven by the shared binary; other links contribute individually.
+        Each failure-model event contributes one term, driven by the
+        binary of its first failable link: a priced SRLG once for all
+        its members, every other link on its own probability.
         """
-        srlg_prob: dict[int, float] = {}
-        srlg_member: dict[tuple[LagKey, int], int] = {}
-        for gid, srlg in enumerate(self.topology.srlgs):
-            if srlg.failure_probability is not None:
-                srlg_prob[gid] = srlg.failure_probability
-                for member in srlg.members:
-                    srlg_member[(lag_key(*member[0]), member[1])] = gid
-
+        fm = self.failure_model
         expr = LinExpr()
-        group_done: set[int] = set()
-        for lag in self.topology.lags:
-            for i, link in enumerate(lag.links):
-                u = self.link_down[(lag.key, i)]
-                if not isinstance(u, Var):
-                    continue  # non-failable: stays up, contributes log(1)~0
-                gid = srlg_member.get((lag.key, i))
-                if gid is not None:
-                    if gid in group_done:
-                        continue
-                    pi = srlg_prob[gid]
-                    group_done.add(gid)
-                else:
-                    pi = link.failure_probability
-                    if pi is None:
-                        raise ModelingError(
-                            f"link {lag.key}#{i} is failable under a "
-                            "probability threshold but has no probability"
-                        )
-                # u*log(pi) + (1-u)*log(1-pi)
-                expr = expr + log(pi) * u.to_expr()
-                expr = expr + log(1.0 - pi) * (1 - u.to_expr())
+        priced: set[int] = set()
+        for pos, key in enumerate(fm.links):
+            u = self.link_down[key]
+            if not isinstance(u, Var):
+                continue  # non-failable: stays up, contributes log(1)~0
+            event = fm.event_of[pos]
+            if event in priced:
+                continue
+            priced.add(event)
+            pi = fm.events[event].probability
+            # u*log(pi) + (1-u)*log(1-pi)
+            expr = expr + log(pi) * u.to_expr()
+            expr = expr + log(1.0 - pi) * (1 - u.to_expr())
         self.model.add_constr(expr >= log(threshold), name="probability")
 
     # -- extraction ---------------------------------------------------------
@@ -424,15 +382,7 @@ def failable_link_keys(
     non_failable_lags: Iterable[LagKey] = (),
 ) -> list[tuple[LagKey, int]]:
     """The links a :class:`FailureEncoding` would let fail (for reports)."""
+    model = FailureModel(topology)
     banned = {lag_key(*k) for k in non_failable_lags}
-    out = []
-    for lag in topology.lags:
-        if lag.key in banned:
-            continue
-        for i, link in enumerate(lag.links):
-            if link.failure_probability is None and (
-                config.probability_threshold is not None
-            ):
-                continue
-            out.append((lag.key, i))
-    return out
+    return [key for pos, key in enumerate(model.links)
+            if model.failable(pos, config.probability_threshold, banned)]

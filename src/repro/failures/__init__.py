@@ -1,5 +1,7 @@
 """Failure scenarios, probabilities, enumeration, and trace estimation.
 
+* :mod:`repro.failures.model` -- which links can fail, which fail
+  together, and at what probability; every other module reads it.
 * :mod:`repro.failures.scenario` -- concrete failure scenarios, their
   application to a topology (residual capacities, down paths, fail-over
   activation), and failed-network *simulation*.

@@ -47,10 +47,11 @@ import numpy as np
 
 from repro.core.config import MonteCarloConfig, RunnerConfig
 from repro.exceptions import TopologyError
+from repro.failures.model import FailureModel
 from repro.failures.montecarlo import AvailabilityEstimate, ScenarioResolver
 from repro.failures.scenario import FailureScenario
 from repro.network.demand import Pair
-from repro.network.topology import Topology, lag_key
+from repro.network.topology import Topology
 from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
 from repro.paths.pathset import PathSet
@@ -90,76 +91,31 @@ def _instance_from_docs(instance: dict):
 class ScenarioSampler:
     """Vectorized scenario sampling, stream-compatible with the serial loop.
 
-    The serial :func:`~repro.failures.montecarlo.sample_scenario`
-    consumes, per sample, one uniform per SRLG carrying a group
-    probability (in ``topology.srlgs`` order) followed by one uniform
-    per independent *failable* link (in LAG/link order; links with
-    ``can_fail=False`` short-circuit and consume nothing).  This class
-    precomputes that column layout once, so ``sample(rng, n)`` is a
-    single ``rng.random((n, columns))`` call whose rows reproduce the
-    serial draw stream bit for bit.
+    The serial :func:`~repro.failures.montecarlo.sample_scenario` draws
+    one uniform per event of the
+    :class:`~repro.failures.model.FailureModel`, in event order, so
+    ``sample(rng, n)`` is one ``rng.random((n, events))`` call whose rows
+    reproduce the serial draw stream bit for bit.
     """
 
     def __init__(self, topology: Topology):
         self.topology = topology
-        grouped: dict[tuple, int] = {}
-        group_ps: list[float] = []
-        gid_to_col: dict[int, int] = {}
-        for gid, srlg in enumerate(topology.srlgs):
-            if srlg.failure_probability is None:
-                continue
-            gid_to_col[gid] = len(group_ps)
-            group_ps.append(float(srlg.failure_probability))
-            for member in srlg.members:
-                grouped[(lag_key(*member[0]), member[1])] = gid
-
+        model = FailureModel(topology)
+        for pos, (key, i) in enumerate(model.links):
+            if model.can_fail[pos] and model.event_of[pos] is None:
+                raise TopologyError(
+                    f"link {i} of LAG {key} has no failure probability")
         #: ``(lag_key, link_index)`` per column of the failure matrix,
         #: in LAG/link order -- the canonical link enumeration.
-        self.links: list[tuple] = []
-        link_group_col: list[int] = []
-        link_can_fail: list[bool] = []
-        indep_col: list[int] = []
-        indep_ps: list[float] = []
-        for lag in topology.lags:
-            for i, link in enumerate(lag.links):
-                self.links.append((lag.key, i))
-                can_fail = bool(link.can_fail)
-                link_can_fail.append(can_fail)
-                gid = grouped.get((lag.key, i))
-                if gid is not None:
-                    link_group_col.append(gid_to_col[gid])
-                    indep_col.append(-1)
-                    continue
-                link_group_col.append(-1)
-                p = link.failure_probability
-                if p is None:
-                    if can_fail:
-                        raise TopologyError(
-                            f"link {i} of LAG {lag.key} has no failure "
-                            f"probability"
-                        )
-                    indep_col.append(-1)
-                    continue
-                if not can_fail:
-                    # The serial loop short-circuits before drawing for
-                    # a protected link, so no column here either.
-                    indep_col.append(-1)
-                    continue
-                indep_col.append(len(indep_ps))
-                indep_ps.append(float(p))
-
-        self._group_ps = np.asarray(group_ps, dtype=float)
-        self._indep_ps = np.asarray(indep_ps, dtype=float)
-        self._num_groups = len(group_ps)
-        self._num_indep = len(indep_ps)
-        self._link_group_col = np.asarray(link_group_col, dtype=np.intp)
-        self._link_can_fail = np.asarray(link_can_fail, dtype=bool)
-        self._indep_col = np.asarray(indep_col, dtype=np.intp)
-        #: Matrix columns a group draw can fail (grouped AND failable).
-        self._grouped_cols = np.nonzero(
-            (self._link_group_col >= 0) & self._link_can_fail
-        )[0]
-        self._indep_cols = np.nonzero(self._indep_col >= 0)[0]
+        self.links: list[tuple] = model.links
+        self._ps = np.asarray([e.probability for e in model.events],
+                              dtype=float)
+        #: Failure-matrix columns some event can fail, and that event.
+        self._cols = np.asarray(
+            [pos for e in model.events for pos in e.links], dtype=np.intp)
+        self._col_event = np.asarray(
+            [k for k, e in enumerate(model.events) for _ in e.links],
+            dtype=np.intp)
 
     @property
     def num_links(self) -> int:
@@ -168,18 +124,10 @@ class ScenarioSampler:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """An ``(n, num_links)`` boolean failure matrix for ``n`` draws."""
-        draws = rng.random((n, self._num_groups + self._num_indep))
+        draws = rng.random((n, self._ps.size))
         fail = np.zeros((n, self.num_links), dtype=bool)
-        if self._num_groups and self._grouped_cols.size:
-            group_fail = draws[:, : self._num_groups] < self._group_ps
-            fail[:, self._grouped_cols] = group_fail[
-                :, self._link_group_col[self._grouped_cols]
-            ]
-        if self._num_indep:
-            indep_fail = draws[:, self._num_groups:] < self._indep_ps
-            fail[:, self._indep_cols] = indep_fail[
-                :, self._indep_col[self._indep_cols]
-            ]
+        if self._cols.size:
+            fail[:, self._cols] = (draws < self._ps)[:, self._col_event]
         return fail
 
     def scenario_for(self, row: np.ndarray) -> FailureScenario:

@@ -15,8 +15,8 @@ import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
+from repro.failures.model import FailureModel
 from repro.failures.montecarlo import ScenarioResolver
-from repro.failures.probability import scenario_log_probability
 from repro.failures.scenario import FailureScenario, connected_enforced_holds
 from repro.network.demand import Pair
 from repro.network.topology import Topology
@@ -31,7 +31,8 @@ def enumerate_scenarios(
     relevant_only: bool = True,
     paths: PathSet | None = None,
 ) -> Iterator[FailureScenario]:
-    """Yield all scenarios with 1..max_failures failed links.
+    """Yield all scenarios with 1..max_failures failed links the failure
+    model lets fail (never an immune link).
 
     Args:
         topology: The WAN.
@@ -53,9 +54,9 @@ def enumerate_scenarios(
             f"probability_threshold must be in (0, 1), got "
             f"{probability_threshold} (pass None to disable the filter)"
         )
-    links = [
-        (lag.key, i) for lag in topology.lags for i in range(lag.num_links)
-    ]
+    model = FailureModel(topology)
+    links = [key for pos, key in enumerate(model.links)
+             if model.failable(pos, probability_threshold)]
     if relevant_only and paths is not None:
         used = set()
         for dp in paths.values():
@@ -72,7 +73,7 @@ def enumerate_scenarios(
         for combo in itertools.combinations(links, count):
             scenario = FailureScenario(combo)
             if log_t is not None:
-                if scenario_log_probability(topology, scenario) < log_t:
+                if model.log_probability(scenario) < log_t:
                     continue
             yield scenario
 

@@ -24,6 +24,7 @@ import numpy as np
 import logging
 
 from repro.exceptions import TopologyError
+from repro.failures.model import FailureModel
 from repro.failures.scenario import FailureScenario
 from repro.network.demand import Pair
 from repro.network.topology import LagKey, Topology, lag_key
@@ -91,7 +92,9 @@ def sample_scenario(topology: Topology, rng: np.random.Generator
     """Draw one failure scenario from the link-state distribution.
 
     SRLGs with a group probability are drawn as one Bernoulli event for
-    the whole group; remaining links are independent Bernoullis.
+    the whole group; remaining links are independent Bernoullis.  This
+    loop deliberately does not read :mod:`repro.failures.model`: it is
+    the independent reference the vectorized sampler is checked against.
     """
     failed = []
     grouped: dict[tuple, int] = {}
@@ -229,19 +232,16 @@ class ScenarioResolver:
         )
         self._model = model
 
-        # Link columns in LAG/link order, so per-LAG sums add surviving
-        # capacities in the same order as residual_capacities().
-        self._link_col: dict[tuple, int] = {}
-        link_lag: list[int] = []
-        link_cap: list[float] = []
-        for i, lag in enumerate(topology.lags):
-            for k, link in enumerate(lag.links):
-                self._link_col[(lag.key, k)] = len(link_lag)
-                link_lag.append(i)
-                link_cap.append(link.capacity)
+        # Link columns in the canonical LAG/link order, so per-LAG sums
+        # add surviving capacities in the same order as
+        # residual_capacities().
+        failure_model = FailureModel(topology)
+        self._link_col = failure_model.index
         self._num_lags = len(topology.lags)
-        self._link_lag = np.asarray(link_lag, dtype=np.intp)
-        self._link_cap = np.asarray(link_cap, dtype=np.float64)
+        self._link_lag = np.asarray(failure_model.lag_of, dtype=np.intp)
+        self._link_cap = np.asarray(
+            [link.capacity for link in failure_model.physical],
+            dtype=np.float64)
         self._lag_links = np.bincount(self._link_lag,
                                       minlength=self._num_lags)
         self._cap_row_lag = np.asarray(cap_row_lag, dtype=np.intp)

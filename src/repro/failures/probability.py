@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.exceptions import TopologyError
+from repro.failures.model import FailureModel
 from repro.failures.scenario import FailureScenario
 from repro.network.topology import Topology
 
@@ -41,52 +42,10 @@ def scenario_log_probability(
 ) -> float:
     """Natural log of the scenario's probability (full assignment).
 
-    SRLGs with a group probability are priced as *one* event: when every
-    member is failed the group contributes ``log(p_g)`` once, when none
-    is failed ``log(1 - p_g)`` once.  (A scenario failing only part of a
-    priced SRLG contradicts the fate-sharing model; its members are then
-    priced individually as a conservative fallback.)
+    Priced by :meth:`repro.failures.model.FailureModel.log_probability`:
+    a priced SRLG is one event, immune links cost nothing.
     """
-    from repro.network.topology import lag_key
-
-    scenario.validate_for(topology)
-    grouped: dict[tuple, object] = {}
-    for srlg in topology.srlgs:
-        if srlg.failure_probability is None:
-            continue
-        for member in srlg.members:
-            grouped[(lag_key(*member[0]), member[1])] = srlg
-
-    total = 0.0
-    priced_srlgs: set[int] = set()
-    for lag in topology.lags:
-        for i, link in enumerate(lag.links):
-            key = (lag.key, i)
-            srlg = grouped.get(key)
-            if srlg is not None:
-                members = {(lag_key(*m[0]), m[1]) for m in srlg.members}
-                states = {m in scenario.failed_links for m in members}
-                if len(states) == 1:  # consistent fate-sharing
-                    if id(srlg) in priced_srlgs:
-                        continue
-                    priced_srlgs.add(id(srlg))
-                    p_g = srlg.failure_probability
-                    total += (math.log(p_g) if states == {True}
-                              else math.log1p(-p_g))
-                    continue
-                # Mixed state: fall through to individual pricing.
-            pi = link.failure_probability
-            if pi is None:
-                raise TopologyError(
-                    f"link {i} of LAG {lag.key} has no failure probability; "
-                    "assign probabilities (e.g. assign_zoo_probabilities) "
-                    "or use <= k failure analysis instead"
-                )
-            if key in scenario.failed_links:
-                total += math.log(pi)
-            else:
-                total += math.log1p(-pi)
-    return total
+    return FailureModel(topology).log_probability(scenario)
 
 
 def scenario_probability(topology: Topology, scenario: FailureScenario) -> float:

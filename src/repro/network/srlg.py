@@ -36,7 +36,7 @@ class Srlg:
         self.members.append((lag_key(u, v), link_index))
 
     def validate(self, topology: Topology) -> None:
-        """Check every member exists in the given topology."""
+        """Check every member exists and belongs to no other SRLG."""
         if len(self.members) < 2:
             raise TopologyError(f"SRLG {self.name!r} needs at least two members")
         seen = set()
@@ -54,6 +54,16 @@ class Srlg:
                     f"SRLG {self.name!r}: duplicate member {member}"
                 )
             seen.add(member)
+        taken = {(lag_key(*key), idx): other.name
+                 for other in topology.srlgs if other is not self
+                 for key, idx in other.members}
+        for key, idx in self.members:
+            owner = taken.get((lag_key(*key), idx))
+            if owner is not None:
+                raise TopologyError(
+                    f"SRLG {self.name!r}: link {lag_key(*key)}#{idx} "
+                    f"already belongs to SRLG {owner!r}"
+                )
         p = self.failure_probability
         if p is not None and not (0.0 < p < 1.0):
             raise TopologyError(

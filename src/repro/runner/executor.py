@@ -976,8 +976,8 @@ def _parallel_round(queue, attempts, failed_seconds, campaign,
     completes -- byte-for-byte the historical behavior.  With one, it
     wakes every :data:`_CANCEL_POLL_SECONDS` to poll the flag; a cancel
     settles every unfinished job as ``cancelled`` and abandons the pool
-    without waiting for in-flight attempts (their worker processes
-    finish the current task and exit; no result is recorded).
+    without waiting for in-flight attempts: their worker processes are
+    killed, and no result is recorded.
     """
     config = campaign.config
     requeue: list[Job] = []
@@ -1043,7 +1043,15 @@ def _parallel_round(queue, attempts, failed_seconds, campaign,
                 _settle_or_requeue(job, res, attempts, failed_seconds,
                                    campaign, requeue)
     finally:
+        # An abandoned pool's workers may still be running cancelled
+        # attempts: kill them rather than let them compute up to their
+        # wall timeout.  Python 3.11 has no public API for this, and a
+        # worker forked under the campaign's SIGTERM handler ignores
+        # terminate().
+        orphans = list((pool._processes or {}).values()) if abandoned else []
         pool.shutdown(wait=not abandoned, cancel_futures=abandoned)
+        for process in orphans:
+            process.kill()
     return requeue, broke
 
 

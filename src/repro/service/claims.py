@@ -303,11 +303,12 @@ class ClaimLoop:
         if self._settle(analysis_id, key, token, state, **fields):
             self._count(state)
             return
-        # Reaped (and maybe re-claimed) while we ran: the re-run hits
+        # Reaped (and maybe re-claimed) while we ran, or the store
+        # closed under a slot that outlived the drain: the re-run hits
         # the content-addressed cache and settles identically, so the
         # refused result is redundant, not lost.
-        logger.warning("settle for job %s refused by the fence; the "
-                       "re-run settles identically", key[:12])
+        logger.warning("settle for job %s refused; the re-run settles "
+                       "identically", key[:12])
         self._count("stale")
 
     def _hand_back(self, analysis_id: str, key: str, token: str) -> None:

@@ -166,6 +166,13 @@ CREATE TABLE IF NOT EXISTS transitions (
 """
 
 
+class _ClosedConnection:
+    """The connection of a closed :class:`JobStore`: any use is refused."""
+
+    def __getattr__(self, name):
+        raise ServiceError("the job store is closed")
+
+
 class JobStore:
     """The service's durable queue + bookkeeping, one SQLite file.
 
@@ -213,11 +220,17 @@ class JobStore:
                     f"ALTER TABLE jobs ADD COLUMN {column} {decl}")
 
     def close(self) -> None:
-        """Close the underlying connection (idempotent)."""
+        """Close the underlying connection (idempotent).
+
+        A slot that outlived the service's drain may still heartbeat or
+        settle afterwards; every such call is then refused with a
+        :class:`ServiceError` (restart recovery requeues its job).
+        """
         with self._lock:
+            conn, self._conn = self._conn, _ClosedConnection()
             try:
-                self._conn.close()
-            except sqlite3.Error:
+                conn.close()
+            except (sqlite3.Error, ServiceError):
                 pass
 
     # -- submission ----------------------------------------------------

@@ -173,17 +173,25 @@ class TestSrlgEncoding:
         assert enc.link_down[(("a", "b"), 0)] is enc.link_down[(("c", "d"), 0)]
 
     def test_link_in_two_srlgs_rejected(self, paths):
-        from repro.exceptions import ModelingError
+        from repro.exceptions import TopologyError
 
         topo = from_edges([
             ("a", "b", 10, 2), ("b", "d", 10), ("a", "c", 6), ("c", "d", 6),
         ], failure_probability=0.1)
+        groups = []
         for name in ("g1", "g2"):
             srlg = Srlg(name=name)
             srlg.add("a", "b", 0)
             srlg.add("b", "d", 0)
-            attach_srlg(topo, srlg)
-        with pytest.raises(ModelingError):
+            groups.append(srlg)
+        attach_srlg(topo, groups[0])
+        # Rejected where the topology is built ...
+        with pytest.raises(TopologyError, match="already belongs"):
+            attach_srlg(topo, groups[1])
+        # ... and by the failure model when the list is appended to
+        # directly, before any binary is created.
+        topo.srlgs.append(groups[1])
+        with pytest.raises(TopologyError, match="multiple SRLGs"):
             make_encoding(topo, paths)
 
 

@@ -47,6 +47,15 @@ def sleep_task(payload: dict) -> dict:
     return {"slept": True}
 
 
+def pid_sleep_task(payload: dict) -> dict:
+    """:func:`sleep_task` that first publishes its worker's pid."""
+    path = payload["params"]["pid_file"]
+    with open(path + ".tmp", "w") as handle:
+        handle.write(f"{os.getpid()}\n")
+    os.replace(path + ".tmp", path)
+    return sleep_task(payload)
+
+
 def flaky_task(payload: dict) -> dict:
     """Fails on the first attempt, succeeds once a sentinel file exists."""
     sentinel = payload["params"]["sentinel"]

@@ -4,6 +4,10 @@ The injected tasks live in ``tests/runner/_workers.py`` so worker
 processes can import them by reference.
 """
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.core.config import RunnerConfig, default_num_workers
@@ -227,6 +231,28 @@ class TestCooperativeCancel:
         assert len(outcome.outcomes) == 1
         assert outcome.outcomes[0].status == "cancelled"
         assert "cancelled by client" in outcome.outcomes[0].error
+
+    def test_cancel_stops_the_running_attempt(self, tmp_path):
+        """The abandoned pool's worker process is stopped, not left to
+        compute up to its wall timeout."""
+        pid_file = tmp_path / "worker.pid"
+        outcome = run_sweep(
+            [_job("pid_sleep_task", pid_file=str(pid_file),
+                  sleep_seconds=600)], num_workers=2,
+            wall_timeout=60.0, cancel_check=pid_file.exists,
+            config=RunnerConfig(retries=0, backoff_seconds=0.0),
+        )
+        assert outcome.outcomes[0].status == "cancelled"
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return
+            time.sleep(0.05)
+        os.kill(pid, signal.SIGKILL)
+        pytest.fail(f"worker {pid} still runs 5 s after the cancel")
 
     def test_cancel_race_settles_done_but_unretrieved_future(
             self, monkeypatch):

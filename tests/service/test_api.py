@@ -386,3 +386,52 @@ class TestBodyCap:
             server.shutdown()
             thread.join(timeout=5)
             service.stop(drain=False)
+
+
+class TestStopUnderLiveSlots:
+    def test_late_settle_is_refused_and_recovered(self, tmp_path,
+                                                  monkeypatch):
+        """A slot that outlives the drain settles into a closed store:
+        the settle is refused (no thread exception), and restart
+        recovery requeues the job, which then settles from the cache."""
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        config = ServiceConfig(port=0, num_workers=1, isolate_jobs=False,
+                               poll_interval_seconds=0.02,
+                               drain_timeout_seconds=0.1)
+        service = AnalysisService(tmp_path / "svc", config=config)
+        started = tmp_path / "started"
+        doc = sleep_spec(0.6, [1])
+        doc["task"] = "tests.runner._workers:pid_sleep_task"
+        doc["base"]["pid_file"] = str(started)
+        status, body, _ = service.submit(doc, "test")
+        assert status == 201
+        service.start()
+        # Stop only once the job runs: a stop between claim and start
+        # hands the claim back instead.
+        deadline = time.monotonic() + 10
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert started.exists()
+        slots = list(service.scheduler._threads)
+        service.stop(drain=True)
+        for slot in slots:
+            slot.join(timeout=10)
+        assert not any(slot.is_alive() for slot in slots)
+        assert [hook.exc_value for hook in raised
+                if hook.thread in slots] == []
+        assert service.scheduler.counts == {"stale": 1}
+
+        restarted = AnalysisService(tmp_path / "svc", config=config)
+        assert restarted.store.counts()["running"] == 1
+        restarted.start()
+        try:
+            deadline = time.monotonic() + 10
+            while restarted.store.counts()["done"] == 0 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert restarted.store.counts()["done"] == 1
+            assert restarted.store.analysis_status(body["id"])["state"] \
+                == "done"
+        finally:
+            restarted.stop(drain=False)
